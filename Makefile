@@ -2,7 +2,7 @@ GO ?= go
 STATICCHECK ?= staticcheck
 FUZZTIME ?= 10s
 
-.PHONY: build vet test race fault obs lint fuzz bench bench-json bench-smoke scenario serve-smoke
+.PHONY: build vet test race fault obs lint fuzz bench bench-json bench-smoke scenario serve-smoke perfbench-race
 
 # Serving-layer smoke: boot feam-server on the 120-site mixed-ISA fleet,
 # drive it with feam-load for a short burst, then SIGTERM it and require
@@ -102,8 +102,17 @@ bench-trajectory:
 # Quick CI variant: a fixed tiny iteration count proves the benchmarks
 # and the JSON renderer still work without paying for stable numbers,
 # and the AllocsPerRun gates fail the job if the zero-copy View accessor
-# path or the cached ABI resolve path ever allocates again.
+# path, the cached ABI resolve path or the memo-hit file digest read
+# ever allocates again.
 bench-smoke:
 	$(GO) test -run xxx -bench . -benchtime 10x -benchmem $(BENCH_PKGS) | $(GO) run ./cmd/benchjson -out BENCH_smoke.json
 	$(GO) test -run 'TestViewParseAllocs' -count=1 -v ./internal/elfimg/
 	$(GO) test -run 'TestABIResolveAllocs' -count=1 -v ./internal/abicheck/
+	$(GO) test -run 'TestReadFileDigestAllocs' -count=1 -v ./internal/vfs/
+
+# End-to-end benchmark harness under the race detector: tiny runs of
+# every perfbench workload plus their answer checkers. perfbench is its
+# own module (replacing feam with this checkout), so it runs from its
+# directory.
+perfbench-race:
+	cd perfbench && $(GO) test -race -count=1 ./...

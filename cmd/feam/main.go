@@ -161,7 +161,7 @@ func run(codeName, className, from, stackKey, to string, basic bool, seed int64,
 			if err != nil {
 				return err
 			}
-			bundle, err = feam.DecodeBundle(raw)
+			bundle, err = eng.DecodeBundle(ctx, raw)
 			if err != nil {
 				return err
 			}

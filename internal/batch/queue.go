@@ -2,6 +2,7 @@ package batch
 
 import (
 	"fmt"
+	"sync"
 	"time"
 )
 
@@ -29,6 +30,11 @@ type Cluster struct {
 	Manager Manager
 	Queues  []Queue
 
+	// mu guards the clock and the accounting, so readers (CPUHoursUsed,
+	// Now) may run while another goroutine submits jobs. Submissions
+	// themselves are serialized by the caller (the site lock); mu is never
+	// held while a payload runs.
+	mu        sync.Mutex
 	now       time.Duration
 	cpuSecond float64
 }
@@ -59,10 +65,27 @@ func (c *Cluster) FindQueue(name string) (Queue, error) {
 }
 
 // Now returns the virtual clock.
-func (c *Cluster) Now() time.Duration { return c.now }
+func (c *Cluster) Now() time.Duration {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.now
+}
 
 // CPUHoursUsed returns accumulated accounting.
-func (c *Cluster) CPUHoursUsed() float64 { return c.cpuSecond / 3600 }
+func (c *Cluster) CPUHoursUsed() float64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.cpuSecond / 3600
+}
+
+// advance moves the virtual clock forward and charges cpuSeconds of
+// allocation.
+func (c *Cluster) advance(d time.Duration, cpuSeconds float64) {
+	c.mu.Lock()
+	c.now += d
+	c.cpuSecond += cpuSeconds
+	c.mu.Unlock()
+}
 
 // JobResult reports one submission.
 type JobResult struct {
@@ -107,7 +130,7 @@ func (c *Cluster) Submit(spec ScriptSpec, payload Payload, maxAttempts int, retr
 	var res JobResult
 	for attempt := 1; attempt <= maxAttempts; attempt++ {
 		wait := q.WaitFor(tasks)
-		c.now += wait
+		c.advance(wait, 0)
 		res.QueueWait += wait
 		ok, out, runTime := payload(attempt)
 		if runTime > spec.WallTime && spec.WallTime > 0 {
@@ -116,9 +139,8 @@ func (c *Cluster) Submit(spec ScriptSpec, payload Payload, maxAttempts int, retr
 			ok = false
 			out = "killed: walltime exceeded"
 		}
-		c.now += runTime
+		c.advance(runTime, runTime.Seconds()*float64(tasks))
 		res.RunTime += runTime
-		c.cpuSecond += runTime.Seconds() * float64(tasks)
 		res.Attempts = attempt
 		res.Success = ok
 		res.Output = out
@@ -126,7 +148,7 @@ func (c *Cluster) Submit(spec ScriptSpec, payload Payload, maxAttempts int, retr
 			break
 		}
 		if attempt < maxAttempts {
-			c.now += retrySpacing
+			c.advance(retrySpacing, 0)
 		}
 	}
 	return res, nil

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -84,5 +85,49 @@ func TestSharedEngineRace(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// TestConcurrentRunsShareEngine runs two RunWithEngine calls at once over
+// one engine and one testbed, the way a load generator with several
+// clients does. Each run reads every batch system's CPU-hour accounting
+// after its pairs finish, while the other run may still be submitting
+// probe jobs under a target's site lock; under -race this covers that
+// accounting. The test set is trimmed to a few binaries to stay cheap.
+func TestConcurrentRunsShareEngine(t *testing.T) {
+	tb := smallTestbed(t)
+	sim := execsim.NewSimulator(7)
+	full, err := BuildTestSet(tb, sim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(full.Binaries) < 4 {
+		t.Fatalf("test set has %d binaries", len(full.Binaries))
+	}
+	eng := feam.New()
+	sets := []*TestSet{
+		{Binaries: full.Binaries[:2]},
+		{Binaries: full.Binaries[2:4]},
+	}
+	errs := make([]error, len(sets))
+	var wg sync.WaitGroup
+	for i, ts := range sets {
+		wg.Add(1)
+		go func(i int, ts *TestSet) {
+			defer wg.Done()
+			for round := 0; round < 2 && errs[i] == nil; round++ {
+				var ev *Evaluation
+				ev, errs[i] = RunWithEngine(context.Background(), eng, tb, ts, sim, 2)
+				if errs[i] == nil && len(ev.ProbeCPUHours) != len(tb.Clusters) {
+					errs[i] = fmt.Errorf("accounting covers %d of %d clusters", len(ev.ProbeCPUHours), len(tb.Clusters))
+				}
+			}
+		}(i, ts)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 }

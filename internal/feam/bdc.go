@@ -101,13 +101,11 @@ func describeBytes(data []byte, name, hash string) (*BinaryDescription, error) {
 	return desc, nil
 }
 
-// DescribeFile describes a binary on a site's filesystem.
+// DescribeFile describes a binary on a site's filesystem through the
+// package-level default engine. See Engine.DescribeFile.
 func DescribeFile(site *sitemodel.Site, path string) (*BinaryDescription, error) {
-	data, err := site.FS().ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("%w: reading %s: %w", ErrBadBinary, path, err)
-	}
-	return DescribeBytes(data, path)
+	desc, _, err := DefaultEngine().DescribeFile(context.Background(), site, path)
+	return desc, err
 }
 
 // parseComments extracts build provenance from .comment strings such as
@@ -141,7 +139,9 @@ type LibraryCopy struct {
 	Name string
 	// OriginPath is where the copy was found at the source site.
 	OriginPath string
-	// Data is the library image.
+	// Data is the library image. It aliases the source site's file storage
+	// (or the decoded archive's private copy) and is shared by every
+	// bundle gathered from the same file: treat it as read-only.
 	Data []byte
 	// Attrs preserves the file's extended attributes so a staged copy is
 	// byte-for-byte (and metadata-for-metadata) identical to the original.
@@ -162,13 +162,25 @@ type GatherResult struct {
 	SearchFallbacks int
 }
 
+// GatherLibraries gathers a binary's libraries through the package-level
+// default engine. See Engine.GatherLibraries.
+func GatherLibraries(site *sitemodel.Site, binary []byte, name string) (*GatherResult, error) {
+	return DefaultEngine().GatherLibraries(context.Background(), site, binary, name)
+}
+
 // GatherLibraries locates and copies every shared library the binary is
 // linked against at a guaranteed execution environment, excluding the C
 // library and the dynamic loader (§IV: resolution copies everything except
 // libc). The primary mechanism is the ldd equivalent (dynamic-loader
 // resolution under the site's current environment); libraries the loader
 // cannot place are hunted with the locate/find-style filesystem searches.
-func GatherLibraries(site *sitemodel.Site, binary []byte, name string) (*GatherResult, error) {
+// Each copy is described through this engine (its caches, tracer and
+// store) under the filesystem's memoized digest, and its Data aliases the
+// site's file storage instead of duplicating it.
+//
+// The caller must hold SiteLock(site.Name) when the site is shared across
+// goroutines.
+func (e *Engine) GatherLibraries(ctx context.Context, site *sitemodel.Site, binary []byte, name string) (*GatherResult, error) {
 	res := &GatherResult{}
 	resolution, err := ldso.ResolveBytes(binary, name, ldso.Options{
 		FS:          site.FS(),
@@ -200,13 +212,16 @@ func GatherLibraries(site *sitemodel.Site, binary []byte, name string) (*GatherR
 		if libver.IsCLibraryName(dep) || libver.IsDynamicLoaderName(dep) {
 			continue
 		}
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		p := located[dep]
-		data, err := site.FS().ReadFile(p)
+		data, hash, err := readHashed(site, p)
 		if err != nil {
 			res.NotFound = append(res.NotFound, dep)
 			continue
 		}
-		desc, err := DescribeBytes(data, dep)
+		desc, err := e.describe(ctx, data, dep, hash)
 		if err != nil {
 			res.NotFound = append(res.NotFound, dep)
 			continue

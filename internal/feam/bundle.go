@@ -16,7 +16,9 @@ type Bundle struct {
 	// App is the BDC description of the application binary.
 	App *BinaryDescription
 	// AppBytes optionally carries the binary itself (needed only when the
-	// target phase should also stage the application for execution).
+	// target phase should also stage the application for execution). A
+	// source phase sets it to an alias of the source site's file storage,
+	// not a copy: treat it as read-only.
 	AppBytes []byte
 
 	// Libs are the gathered shared-library copies (everything the

@@ -2,6 +2,7 @@ package feam
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -103,11 +104,18 @@ func EncodeBundle(b *Bundle) ([]byte, error) {
 	return out.Bytes(), nil
 }
 
+// DecodeBundle decodes an archive through the package-level default
+// engine. See Engine.DecodeBundle.
+func DecodeBundle(data []byte) (*Bundle, error) {
+	return DefaultEngine().DecodeBundle(context.Background(), data)
+}
+
 // DecodeBundle parses an archive produced by EncodeBundle, verifying the
 // checksum and reconstructing every component. Library descriptions are
-// re-derived from the embedded ELF images (the archive stores evidence, not
-// trust).
-func DecodeBundle(data []byte) (*Bundle, error) {
+// re-derived from the embedded ELF images through this engine (the archive
+// stores evidence, not trust, so each image is hashed afresh). The decoded
+// byte fields are private copies, independent of data.
+func (e *Engine) DecodeBundle(ctx context.Context, data []byte) (*Bundle, error) {
 	if len(data) < len(bundleMagic)+2+4+4 {
 		return nil, fmt.Errorf("%w: archive too short", ErrBadBundle)
 	}
@@ -145,7 +153,7 @@ func DecodeBundle(data []byte) (*Bundle, error) {
 			}
 			b.App = desc
 		case secLibrary:
-			lc, err := decodeLibraryCopy(secBody, name)
+			lc, err := e.decodeLibraryCopy(ctx, secBody, name)
 			if err != nil {
 				return nil, err
 			}
@@ -318,7 +326,7 @@ func encodeLibraryCopy(lc *LibraryCopy) ([]byte, error) {
 	return out.Bytes(), nil
 }
 
-func decodeLibraryCopy(body []byte, name string) (*LibraryCopy, error) {
+func (e *Engine) decodeLibraryCopy(ctx context.Context, body []byte, name string) (*LibraryCopy, error) {
 	if len(body) < 4 {
 		return nil, fmt.Errorf("%w: truncated library section %q", ErrBadBundle, name)
 	}
@@ -348,7 +356,7 @@ func decodeLibraryCopy(body []byte, name string) (*LibraryCopy, error) {
 		}
 	}
 	lc.Data = append([]byte(nil), body[4+attrLen:]...)
-	desc, err := DescribeBytes(lc.Data, name)
+	desc, err := e.Describe(ctx, lc.Data, name)
 	if err != nil {
 		return nil, fmt.Errorf("%w: library %q: %w", ErrBadBundle, name, err)
 	}

@@ -115,14 +115,54 @@ func contentHash(data []byte) string {
 // the same name returns the registry-cached description, and with a store
 // configured a restarted process rehydrates the record instead of
 // re-parsing. The returned description is shared — callers must treat it
-// as immutable.
+// as immutable. data is hashed on every call: the bytes are the caller's
+// (server uploads are untrusted), so their digest cannot be remembered.
+// Binaries on a site's filesystem go through DescribeFile, which reuses
+// the filesystem's memoized digest.
 func (e *Engine) Describe(ctx context.Context, data []byte, name string) (*BinaryDescription, error) {
+	return e.describe(ctx, data, name, "")
+}
+
+// DescribeFile is Describe for a binary on a site's filesystem, named by
+// its path. The content key comes from the filesystem's per-file digest
+// memo, so an unchanged file is hashed once however often it is described.
+// It also returns the image, which aliases the site's file storage and
+// must be treated as read-only.
+func (e *Engine) DescribeFile(ctx context.Context, site *sitemodel.Site, path string) (*BinaryDescription, []byte, error) {
+	data, hash, err := readHashed(site, path)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%w: reading %s: %w", ErrBadBinary, path, err)
+	}
+	desc, err := e.describe(ctx, data, path, hash)
+	if err != nil {
+		return nil, nil, err
+	}
+	return desc, data, nil
+}
+
+// readHashed reads a site file through the filesystem's digest memo: data
+// aliases the file's immutable storage and hash is its hex SHA-256 (the
+// same key contentHash would compute).
+func readHashed(site *sitemodel.Site, path string) (data []byte, hash string, err error) {
+	data, sum, err := site.FS().ReadFileDigest(path)
+	if err != nil {
+		return nil, "", err
+	}
+	return data, hex.EncodeToString(sum[:]), nil
+}
+
+// describe is the BDC behind Describe and DescribeFile. hash is data's hex
+// SHA-256 when the caller already knows it (a filesystem digest), or ""
+// to hash data here, inside the span.
+func (e *Engine) describe(ctx context.Context, data []byte, name, hash string) (*BinaryDescription, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	sp := e.tracer.Start(obs.OpDescribe,
 		obs.WithParent(obs.SpanFromContext(ctx)), obs.WithBinary(name))
-	hash := contentHash(data)
+	if hash == "" {
+		hash = contentHash(data)
+	}
 	if v, ok := e.sites.LookupDescription(hash, name); ok {
 		sp.Event(obs.EvCache, obs.AttrComponent, "bdc", obs.AttrKey, name,
 			obs.AttrHit, "true", obs.AttrSource, "registry")

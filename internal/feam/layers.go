@@ -1,6 +1,7 @@
 package feam
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"sync"
@@ -182,7 +183,7 @@ func (e *Engine) LoadBundle(hash string) (*Bundle, bool, error) {
 	if !ok {
 		return nil, false, err
 	}
-	b, derr := DecodeBundle(data)
+	b, derr := e.DecodeBundle(context.Background(), data)
 	if derr != nil {
 		return nil, false, derr
 	}

@@ -95,7 +95,10 @@ func WithABICheck(agreement bool) Option {
 // with WithTracer / WithMetrics / WithRegistry): all pipeline operations
 // emit spans, a registry sink derives the latency histograms and event
 // counters from them, and all engine state lives in the site registry —
-// plus the store, when one is configured with WithStore.
+// plus the store, when one is configured with WithStore. The registry sink
+// is attached once per (tracer, metrics registry) pair, so engines that
+// share both — or one rebuilt over them after a restart — count each span
+// once.
 func New(opts ...Option) *Engine {
 	cfg := engineConfig{
 		evaluators: DefaultEvaluators(),
@@ -126,6 +129,6 @@ func New(opts ...Option) *Engine {
 		tracer:     cfg.tracer,
 		reg:        cfg.metrics,
 	}
-	e.tracer.AddSink(obs.NewRegistrySink(e.reg))
+	e.tracer.AttachRegistry(e.reg)
 	return e
 }

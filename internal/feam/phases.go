@@ -92,12 +92,7 @@ func (e *Engine) RunSourcePhase(ctx context.Context, cfg *Config, site *sitemode
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
 	}
-	appBytes, err := site.FS().ReadFile(cfg.BinaryPath)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%w: application binary: %w", ErrBadBinary, err)
-	}
-
-	desc, err := e.Describe(ctx, appBytes, cfg.BinaryPath)
+	desc, appBytes, err := e.DescribeFile(ctx, site, cfg.BinaryPath)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -131,7 +126,7 @@ func (e *Engine) RunSourcePhase(ctx context.Context, cfg *Config, site *sitemode
 		}
 	}
 
-	gather, err := GatherLibraries(site, appBytes, cfg.BinaryPath)
+	gather, err := e.GatherLibraries(ctx, site, appBytes, cfg.BinaryPath)
 	if err != nil {
 		return nil, report, err
 	}
@@ -217,16 +212,11 @@ func (e *Engine) RunTargetPhase(ctx context.Context, cfg *Config, site *sitemode
 	var appBytes []byte
 	switch {
 	case cfg.BinaryPath != "" && site.FS().Exists(cfg.BinaryPath):
-		data, err := site.FS().ReadFile(cfg.BinaryPath)
+		d, data, err := e.DescribeFile(ctx, site, cfg.BinaryPath)
 		if err != nil {
 			return nil, nil, err
 		}
-		appBytes = data
-		d, err := e.Describe(ctx, data, cfg.BinaryPath)
-		if err != nil {
-			return nil, nil, err
-		}
-		desc = d
+		desc, appBytes = d, data
 		report.step("binary description (BDC)", costDescribe)
 	case bundle != nil:
 		desc = bundle.App

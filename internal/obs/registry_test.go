@@ -176,6 +176,22 @@ func TestPrometheusOutputParses(t *testing.T) {
 	}
 }
 
+// TestAttachRegistryOncePerPair: attaching one registry to one tracer
+// twice feeds it once; a second registry on the same tracer is fed too.
+func TestAttachRegistryOncePerPair(t *testing.T) {
+	tr := newTestTracer(8)
+	a, b := NewRegistry(), NewRegistry()
+	tr.AttachRegistry(a)
+	tr.AttachRegistry(a)
+	tr.AttachRegistry(b)
+	tr.Start(OpEvaluate).End(nil)
+	for name, reg := range map[string]*Registry{"a": a, "b": b} {
+		if got := reg.Counter("evaluations").Load(); got != 1 {
+			t.Errorf("registry %s counted %d evaluations, want 1", name, got)
+		}
+	}
+}
+
 func TestRegistrySinkDerivesCountersAndHistograms(t *testing.T) {
 	reg := NewRegistry()
 	tr := newTestTracer(32)

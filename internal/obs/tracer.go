@@ -60,6 +60,31 @@ func (t *Tracer) AddSink(s Sink) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	t.addSinkLocked(s)
+}
+
+// AttachRegistry feeds reg from the span stream through a RegistrySink,
+// at most once per (tracer, registry) pair: attaching a registry that is
+// already attached is a no-op. Engines rebuilt over one shared tracer and
+// registry (a restart) therefore count every span once, not once per
+// incarnation.
+func (t *Tracer) AttachRegistry(reg *Registry) {
+	if t == nil || reg == nil {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, s := range t.snapshotSinks() {
+		if rs, ok := s.(*RegistrySink); ok && rs.reg == reg {
+			return
+		}
+	}
+	t.addSinkLocked(NewRegistrySink(reg))
+}
+
+// addSinkLocked publishes a new sink snapshot with s appended. Caller
+// holds t.mu.
+func (t *Tracer) addSinkLocked(s Sink) {
 	var next []Sink
 	if cur := t.sinks.Load(); cur != nil {
 		next = append(next, *cur...)

@@ -57,6 +57,9 @@ type Result struct {
 	Failed     int                      `json:"failed_assertions"`
 	// Metrics is the final counter snapshot of the run's metrics registry.
 	Metrics map[string]int64 `json:"metrics,omitempty"`
+	// Spans counts the run's ended spans per operation, across engine
+	// restarts (the exact sink behind the spans assertions).
+	Spans map[string]int64 `json:"spans,omitempty"`
 }
 
 // EventOutcome records one executed timeline entry.
@@ -237,6 +240,12 @@ func Run(ctx context.Context, sc *Scenario, opts RunOptions) (*Result, error) {
 		res.Surveys[name] = summarizeSurvey(assessments)
 	}
 	res.Metrics = r.metrics.Snapshot().Counters
+	res.Spans = map[string]int64{}
+	for k, n := range r.counts.snapshot() {
+		if k.site == "" {
+			res.Spans[k.op] = n
+		}
+	}
 
 	res.Passed = true
 	for i, a := range sc.Assertions {

@@ -391,3 +391,62 @@ func TestExpandFleetCollisions(t *testing.T) {
 		t.Errorf("ExpandFleet = %v, want duplicate-site error", err)
 	}
 }
+
+// TestRestartsDoNotMultiplyCounters: the runner rebuilds its engine over
+// one tracer and one metrics registry on every restart event. The
+// registry sink must stay attached once, so the span-derived counters
+// equal the exact span counts however many incarnations the run had.
+func TestRestartsDoNotMultiplyCounters(t *testing.T) {
+	const src = `
+name: restart-counters
+seed: 3
+fleet:
+  base: table2
+binary:
+  plain: true
+events:
+  - name: s0
+    at: 0s
+    action: survey
+  - name: r1
+    at: 1m
+    action: restart
+  - name: s1
+    at: 2m
+    action: survey
+  - name: r2
+    at: 3m
+    action: restart
+  - name: s2
+    at: 4m
+    action: survey
+  - name: r3
+    at: 5m
+    action: restart
+  - name: s3
+    at: 6m
+    action: survey
+assertions:
+  - type: summary
+    survey: s3
+    error_count: 0
+`
+	sc, err := Load([]byte(src))
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	res, err := Run(context.Background(), sc, RunOptions{})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if !res.Passed {
+		t.Fatalf("scenario failed: %+v", res.Assertions)
+	}
+	spans := res.Spans["evaluate"]
+	if spans < 4*5 {
+		t.Fatalf("evaluate spans = %d, want at least one per site per survey (20)", spans)
+	}
+	if got := res.Metrics["evaluations"]; got != spans {
+		t.Errorf("evaluations counter = %d, evaluate spans = %d: spans counted once per engine incarnation", got, spans)
+	}
+}

@@ -232,7 +232,8 @@ const (
 	CodeBadRequest = "bad_request"
 	// CodeNotFound marks references to sites the fleet does not serve.
 	CodeNotFound = "not_found"
-	// CodeTooLarge marks binaries over the configured size cap.
+	// CodeTooLarge marks binaries over the configured size cap, and
+	// request bodies over twice that cap.
 	CodeTooLarge = "payload_too_large"
 	// CodeUpstream marks prediction or survey work that failed behind the
 	// API (engine faults, batch faults).
@@ -315,9 +316,17 @@ type batchResponse struct {
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	s.metrics.Counter("http_predict_requests").Add(1)
-	body, err := io.ReadAll(io.LimitReader(r.Body, s.maxBinaryBytes()*2))
+	// Bodies are capped at twice the binary cap (base64 plus JSON framing).
+	// One byte past the cap is read so an oversized body is refused as
+	// such, not cut short and reported as malformed JSON.
+	limit := s.maxBinaryBytes() * 2
+	body, err := io.ReadAll(io.LimitReader(r.Body, limit+1))
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, "reading body: %v", err)
+		return
+	}
+	if int64(len(body)) > limit {
+		s.fail(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", limit)
 		return
 	}
 	var pb predictBody

@@ -444,3 +444,54 @@ func TestABIEndpoint(t *testing.T) {
 		t.Errorf("GET /v1/abi/nonesuch = %d, want 404", resp.StatusCode)
 	}
 }
+
+// TestPredictBodyLimit: a /v1/predict body over twice MaxBinaryBytes is
+// refused with 413 payload_too_large — whether it is one oversized batch
+// or one byte too many — while a body of exactly the limit is served.
+func TestPredictBodyLimit(t *testing.T) {
+	const maxBin = 64
+	const limit = 2 * maxBin
+	s, err := New(Config{Fleet: scenario.FleetSpec{Base: scenario.FleetBaseTable2}, MaxBinaryBytes: maxBin})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	single := `{"site":"india"}`
+	pad := func(n int) string { return single + strings.Repeat(" ", n-len(single)) }
+	var entries []string
+	for i := 0; i < 10; i++ {
+		entries = append(entries, single)
+	}
+	batch := `{"requests":[` + strings.Join(entries, ",") + `]}`
+	if len(batch) <= limit {
+		t.Fatalf("batch of %d bytes does not exceed the %d-byte limit", len(batch), limit)
+	}
+	for _, tc := range []struct {
+		name   string
+		body   string
+		status int
+		code   string
+	}{
+		{"batch over the limit", batch, http.StatusRequestEntityTooLarge, CodeTooLarge},
+		{"one byte over the limit", pad(limit + 1), http.StatusRequestEntityTooLarge, CodeTooLarge},
+		{"exactly at the limit", pad(limit), http.StatusOK, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			status, env := postPredict(t, ts.URL, tc.body)
+			if status != tc.status {
+				t.Fatalf("status = %d (%+v), want %d", status, env.Error, tc.status)
+			}
+			if tc.code == "" {
+				if env.Error != nil || env.Data == nil {
+					t.Errorf("want data and no error, got %+v", env.Error)
+				}
+				return
+			}
+			if env.Error == nil || env.Error.Code != tc.code {
+				t.Errorf("error = %+v, want code %s", env.Error, tc.code)
+			}
+		})
+	}
+}

@@ -12,12 +12,15 @@
 package vfs
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"path"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // FileKind distinguishes node types.
@@ -63,6 +66,13 @@ type node struct {
 	// their caches. Both fields are guarded by FS.stampMu.
 	stampVal   uint64
 	stampEpoch uint64
+	// digest memoizes the SHA-256 of data (KindFile). File content is
+	// immutable per node — WriteFile always installs a fresh node and
+	// nothing writes data in place — so the digest is computed at most once
+	// per node (see FS.fileDigest) and stays valid for the node's lifetime.
+	// Rename and SetAttr keep the node, and with it the digest; CopyFile,
+	// CopyFileTo and identical-content rewrites carry it to the new node.
+	digest atomic.Pointer[[32]byte]
 }
 
 // FS is an in-memory filesystem rooted at "/". The zero value is not usable;
@@ -108,6 +118,11 @@ type FS struct {
 	// exists to make repeated stamps of unchanged roots map-lookup cheap,
 	// not to survive structural churn.
 	resolved map[string]resolvedEntry
+	// digestMu serializes first-time digest computations, so concurrent
+	// first reads of one file hash it once; memo hits never take it.
+	// digests counts the computations (see DigestsComputed).
+	digestMu sync.Mutex
+	digests  atomic.Uint64
 }
 
 // resolvedEntry is one resolution-cache record: the canonical path and the
@@ -422,11 +437,73 @@ func splitPath(p string) []string {
 // lookup walks to the node for p. When followLast is true, a symlink in the
 // final position is resolved; intermediate symlinks are always resolved.
 func (fs *FS) lookup(p string, followLast bool) (*node, string, error) {
+	if n, ok, err := fs.lookupClean(p, followLast); ok {
+		if err != nil {
+			return nil, "", err
+		}
+		return n, p, nil
+	}
 	cp, err := clean(p)
 	if err != nil {
 		return nil, "", err
 	}
 	return fs.lookupFrom(fs.root, "/", splitPath(cp), followLast, 0)
+}
+
+// lookupClean is lookup's allocation-free fast path for an already-clean
+// absolute path whose walk follows no symlink: the canonical path is p
+// itself, so no component slice or joined prefix is built. ok=false hands
+// the path to the general resolver (an unclean path, or a symlink the walk
+// would follow); otherwise the result (node or error) is exactly what the
+// general resolver returns.
+func (fs *FS) lookupClean(p string, followLast bool) (n *node, ok bool, err error) {
+	if !isCleanAbs(p) {
+		return nil, false, nil
+	}
+	cur := fs.root
+	for i := 1; i < len(p); {
+		j := strings.IndexByte(p[i:], '/')
+		last := j < 0
+		if last {
+			j = len(p)
+		} else {
+			j += i
+		}
+		if cur.kind != KindDir {
+			return nil, true, ErrNotDir
+		}
+		child, found := cur.children[p[i:j]]
+		if !found {
+			return nil, true, ErrNotExist
+		}
+		if child.kind == KindSymlink && (!last || followLast) {
+			return nil, false, nil
+		}
+		cur, i = child, j+1
+	}
+	return cur, true, nil
+}
+
+// isCleanAbs reports whether p is absolute and already in path.Clean form:
+// no empty, "." or ".." elements and no trailing slash.
+func isCleanAbs(p string) bool {
+	if p == "" || p[0] != '/' {
+		return false
+	}
+	if p == "/" {
+		return true
+	}
+	start := 1
+	for i := 1; i <= len(p); i++ {
+		if i < len(p) && p[i] != '/' {
+			continue
+		}
+		if seg := p[start:i]; seg == "" || seg == "." || seg == ".." {
+			return false
+		}
+		start = i + 1
+	}
+	return true
 }
 
 func (fs *FS) lookupFrom(cur *node, curPath string, parts []string, followLast bool, depth int) (*node, string, error) {
@@ -544,10 +621,22 @@ func (fs *FS) mkdirAll(p string) error {
 }
 
 // WriteFile creates or replaces a regular file, creating parents as needed.
+// The stored content is a private copy of data. Rewriting a file with the
+// bytes it already holds shares the stored copy and inherits its memoized
+// digest (one comparison, no re-hash); the generation, the node version and
+// the tree stamps advance exactly as for any other write.
 func (fs *FS) WriteFile(p string, data []byte) error {
 	if err := fs.opErr("write", p); err != nil {
 		return err
 	}
+	return fs.putFile(p, data, nil, false)
+}
+
+// putFile installs a fresh file node at p. With shared set, data is another
+// node's immutable storage and is adopted as is, together with its digest
+// sum (nil when not yet computed); otherwise data belongs to the caller and
+// is copied. The caller has consulted the fault hook.
+func (fs *FS) putFile(p string, data []byte, sum *[32]byte, shared bool) error {
 	cp, err := clean(p)
 	if err != nil {
 		return &PathError{Op: "write", Path: p, Err: err}
@@ -559,12 +648,26 @@ func (fs *FS) WriteFile(p string, data []byte) error {
 	if err != nil {
 		return err
 	}
-	if existing, ok := parent.children[base]; ok && existing.kind == KindDir {
+	existing, ok := parent.children[base]
+	if ok && existing.kind == KindDir {
 		return &PathError{Op: "write", Path: p, Err: ErrIsDir}
 	}
-	buf := make([]byte, len(data))
-	copy(buf, data)
-	nn := &node{kind: KindFile, data: buf, mode: 0o644}
+	nn := &node{kind: KindFile, mode: 0o644}
+	switch {
+	case ok && existing.kind == KindFile && bytes.Equal(existing.data, data):
+		nn.data = existing.data
+		if sum == nil {
+			sum = existing.digest.Load()
+		}
+	case shared:
+		nn.data = data
+	default:
+		nn.data = make([]byte, len(data))
+		copy(nn.data, data)
+	}
+	if sum != nil {
+		nn.digest.Store(sum)
+	}
 	parent.children[base] = nn
 	fs.mutated(cp, false)
 	nn.ver = fs.gen
@@ -574,36 +677,81 @@ func (fs *FS) WriteFile(p string, data []byte) error {
 // WriteString is WriteFile for string content.
 func (fs *FS) WriteString(p, content string) error { return fs.WriteFile(p, []byte(content)) }
 
+// fileNode resolves p (following symlinks) to a regular file for a read,
+// consulting the fault hook first.
+func (fs *FS) fileNode(p string) (*node, error) {
+	if err := fs.opErr("read", p); err != nil {
+		return nil, err
+	}
+	n, _, err := fs.lookup(p, true)
+	if err != nil {
+		return nil, &PathError{Op: "read", Path: p, Err: err}
+	}
+	if n.kind != KindFile {
+		return nil, &PathError{Op: "read", Path: p, Err: ErrIsDir}
+	}
+	return n, nil
+}
+
 // ReadFileShared returns the file's contents WITHOUT copying. The returned
 // slice aliases the stored data: callers must treat it as read-only. It
 // exists for hot read-mostly paths (the dynamic-loader simulation parses
 // multi-megabyte libraries thousands of times); everything else should use
-// ReadFile.
+// ReadFile. The slice stays valid and unchanged after the file is
+// rewritten or removed: mutations install new nodes, never edit stored
+// bytes.
 func (fs *FS) ReadFileShared(p string) ([]byte, error) {
-	if err := fs.opErr("read", p); err != nil {
-		return nil, err
-	}
-	n, _, err := fs.lookup(p, true)
+	n, err := fs.fileNode(p)
 	if err != nil {
-		return nil, &PathError{Op: "read", Path: p, Err: err}
-	}
-	if n.kind != KindFile {
-		return nil, &PathError{Op: "read", Path: p, Err: ErrIsDir}
+		return nil, err
 	}
 	return n.data, nil
 }
 
-// ReadFile returns the contents of the file at p, following symlinks.
-func (fs *FS) ReadFile(p string) ([]byte, error) {
-	if err := fs.opErr("read", p); err != nil {
-		return nil, err
-	}
-	n, _, err := fs.lookup(p, true)
+// ReadFileDigest is ReadFileShared plus the SHA-256 of the contents. The
+// digest is memoized on the file node, so only the first read of a file's
+// current content hashes it; later reads — and reads after a rename, an
+// attribute change, a copy or an identical-content rewrite — cost a lookup
+// and allocate nothing on clean, symlink-free paths. The returned slice
+// aliases the stored data under ReadFileShared's read-only contract. Fault
+// injection applies exactly as for ReadFile (operation "read").
+func (fs *FS) ReadFileDigest(p string) ([]byte, [32]byte, error) {
+	n, err := fs.fileNode(p)
 	if err != nil {
-		return nil, &PathError{Op: "read", Path: p, Err: err}
+		return nil, [32]byte{}, err
 	}
-	if n.kind != KindFile {
-		return nil, &PathError{Op: "read", Path: p, Err: ErrIsDir}
+	return n.data, fs.fileDigest(n), nil
+}
+
+// fileDigest returns a file node's SHA-256, computing and memoizing it on
+// first use. The memo hit is one atomic load; a miss takes digestMu so
+// concurrent first readers of one node hash it exactly once.
+func (fs *FS) fileDigest(n *node) [32]byte {
+	if d := n.digest.Load(); d != nil {
+		return *d
+	}
+	fs.digestMu.Lock()
+	defer fs.digestMu.Unlock()
+	if d := n.digest.Load(); d != nil {
+		return *d
+	}
+	sum := sha256.Sum256(n.data)
+	n.digest.Store(&sum)
+	fs.digests.Add(1)
+	return sum
+}
+
+// DigestsComputed counts the SHA-256 computations ReadFileDigest has run
+// on this filesystem — memo misses. Tests use it to prove that re-reading
+// unchanged files hashes nothing.
+func (fs *FS) DigestsComputed() uint64 { return fs.digests.Load() }
+
+// ReadFile returns the contents of the file at p, following symlinks. The
+// result is a private copy the caller may modify.
+func (fs *FS) ReadFile(p string) ([]byte, error) {
+	n, err := fs.fileNode(p)
+	if err != nil {
+		return nil, err
 	}
 	out := make([]byte, len(n.data))
 	copy(out, n.data)
@@ -953,32 +1101,37 @@ func (fs *FS) Glob(root, pattern string) ([]string, error) {
 	return out, nil
 }
 
-// CopyFile copies a regular file within the filesystem.
+// CopyFile copies a regular file within the filesystem. File content is
+// immutable per node, so the copy shares the source's stored bytes and
+// memoized digest instead of duplicating them; it is otherwise an ordinary
+// read of src followed by a write of dst (fault hook, generation, stamps).
 func (fs *FS) CopyFile(src, dst string) error {
-	data, err := fs.ReadFile(src)
-	if err != nil {
-		return err
-	}
-	return fs.WriteFile(dst, data)
+	return fs.CopyFileTo(fs, src, dst)
 }
 
 // CopyFileTo copies a regular file from this filesystem into another one,
 // the vfs equivalent of staging a shared-library copy at a target site.
+// Like CopyFile it shares the stored bytes and digest across the two
+// filesystems.
 func (fs *FS) CopyFileTo(other *FS, src, dst string) error {
-	data, err := fs.ReadFile(src)
+	n, err := fs.fileNode(src)
 	if err != nil {
 		return err
 	}
-	if err := other.WriteFile(dst, data); err != nil {
+	if err := other.opErr("write", dst); err != nil {
 		return err
+	}
+	if err := other.putFile(dst, n.data, n.digest.Load(), true); err != nil {
+		return err
+	}
+	if other == fs {
+		return nil
 	}
 	// Extended attributes travel with the file: the hidden ground-truth
 	// metadata of a shared library is a property of its bytes.
-	if n, _, err := fs.lookup(src, true); err == nil && n.attrs != nil {
-		for k, v := range n.attrs {
-			if err := other.SetAttr(dst, k, v); err != nil {
-				return err
-			}
+	for k, v := range n.attrs {
+		if err := other.SetAttr(dst, k, v); err != nil {
+			return err
 		}
 	}
 	return nil
